@@ -106,12 +106,13 @@ def main() -> None:
 
     print("\nSieve device functional counters:")
     stats = device.stats
-    dispatched = [r for r in stats.rows_per_query if r > 0]
+    dispatched = {r: n for r, n in stats.rows_histogram.items() if r > 0}
+    mean_rows = sum(r * n for r, n in dispatched.items()) / sum(dispatched.values())
     print(f"  {stats.queries} requests, {stats.hits} hits "
           f"({stats.hit_rate:.1%}), {stats.index_filtered} filtered by the "
           f"host index")
     print(f"  mean row activations per dispatched query: "
-          f"{sum(dispatched) / len(dispatched):.1f} of {2 * K} "
+          f"{mean_rows:.1f} of {2 * K} "
           f"(ETM early termination)")
     print(f"  query-batch write commands: {stats.write_commands}")
 

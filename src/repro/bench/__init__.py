@@ -131,9 +131,7 @@ def bench_host_lookup(quick: bool) -> Tuple[float, Dict[str, int]]:
     return wall_s, {"queries": len(queries), "hits": hits}
 
 
-def _device_lookup(
-    quick: bool, batched: bool, kernel: str = "packed"
-) -> Tuple[float, Dict[str, int]]:
+def _device_lookup(quick: bool, batched: bool) -> Tuple[float, Dict[str, int]]:
     from ..sieve import SieveDevice, SubarrayLayout
 
     dataset = _dataset(quick)
@@ -145,7 +143,7 @@ def _device_lookup(
         {kmer for read in dataset.reads for kmer in read.kmers(dataset.k)}
     )
     start = time.perf_counter()
-    responses = device.query(queries, batched=batched, kernel=kernel)
+    responses = device.query(queries, batched=batched)
     wall_s = time.perf_counter() - start
     return wall_s, {
         "queries": device.stats.queries,
@@ -158,33 +156,22 @@ def _device_lookup(
     }
 
 
-def bench_device_lookup_batched(quick: bool) -> Tuple[float, Dict[str, int]]:
-    """Bit-accurate device lookups through the vectorized batch engine.
-
-    Pinned to the PR-2 ``vector`` kernel: this scenario is both the
-    regression guard for that engine and the wall-time denominator the
-    ``kernel_matrix`` speedup in ``docs/PERFORMANCE.md`` is quoted
-    against.  The bit-packed engine gets its own scenarios below.
-    """
-    return _device_lookup(quick, batched=True, kernel="vector")
-
-
 def bench_device_lookup_packed(quick: bool) -> Tuple[float, Dict[str, int]]:
-    """Same lookups through the bit-packed ``packed`` kernel.
+    """Bit-accurate device lookups through the bit-packed batch engine.
 
-    Counters must match ``device_lookup_batched`` exactly (the packed
+    Counters must match ``device_lookup_scalar`` exactly (the packed
     engine is bit-identical); the wall-time gap between the two
     scenarios is the end-to-end win from ``repro.sieve.kernels``.
     """
-    return _device_lookup(quick, batched=True, kernel="packed")
+    return _device_lookup(quick, batched=True)
 
 
 def bench_device_lookup_scalar(quick: bool) -> Tuple[float, Dict[str, int]]:
     """Same lookups through the scalar command-by-command path.
 
     Tracked so the scalar reference does not rot: its counters must stay
-    identical to the batched run's, and its wall time bounds how long
-    the equivalence tests can afford to be.
+    identical to ``device_lookup_packed``'s, and its wall time bounds
+    how long the equivalence tests can afford to be.
     """
     return _device_lookup(quick, batched=False)
 
@@ -194,16 +181,14 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
 
     Packs the bench dataset's sorted k-mers into the device's MSB-first
     transposed Region-1 layout, packs the query reads the same way, and
-    times the sweep the packed match engine runs per batch: with a
-    single-word layout (every ``k <= 32`` under pure numpy) that is
-    ``pack_bit_columns`` + one XOR pass + the
+    times the sweep the packed match engine runs per batch, chosen the
+    same way from ``words_for(rows)``: with a single-word layout (every
+    ``k <= 32``) that is ``pack_bit_columns`` + one XOR pass + the
     :func:`repro.sieve.kernels.segment_divergence` min-trick reduction
-    + the hit ``argmin``; otherwise (multi-word rows, or numba forced
-    via ``SIEVE_KERNEL``) the full ``first_divergence`` matrix.  The
-    recorded wall time therefore tracks the kernel actually deployed,
-    and its ratio to ``device_lookup_batched`` is the kernel speedup
-    quoted in ``docs/PERFORMANCE.md``.  Counters are pure functions of
-    the seeded dataset, identical across implementations.
+    + the hit ``argmin``; with multi-word rows the full
+    ``first_divergence`` matrix.  Its ratio to ``device_lookup_scalar``
+    is the kernel speedup quoted in ``docs/PERFORMANCE.md``.  Counters
+    are pure functions of the seeded dataset.
     """
     import numpy as np
 
@@ -228,8 +213,7 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
     ref_bits = ((refs[None, :] >> shifts) & one).astype(np.uint8)
     query_bits = ((queries[None, :] >> shifts) & one).astype(np.uint8)
     seg_starts = np.arange(0, refs.size, segment_size)
-    impl = kernels.default_implementation()
-    single_word = kernels.words_for(rows) == 1 and impl == "numpy"
+    single_word = kernels.words_for(rows) == 1
     start = time.perf_counter()
     ref_words = kernels.pack_bit_columns(ref_bits)
     query_words = kernels.pack_bit_columns(query_bits)
@@ -238,7 +222,7 @@ def bench_kernel_matrix(quick: bool) -> Tuple[float, Dict[str, int]]:
         seg_div = kernels.segment_divergence(xor, rows, seg_starts)
         first_hit = np.argmin(xor, axis=1)
     else:
-        div = kernels.first_divergence(ref_words, query_words, rows, impl=impl)
+        div = kernels.first_divergence(ref_words, query_words, rows)
         seg_div = np.maximum.reduceat(div, seg_starts, axis=1)
         first_hit = (div == rows).argmax(axis=1)
     wall_s = time.perf_counter() - start
@@ -601,7 +585,6 @@ def bench_read_mapping_insitu(quick: bool) -> Tuple[float, Dict[str, int]]:
 BENCHMARKS: Dict[str, BenchFn] = {
     "database_build": bench_database_build,
     "host_lookup": bench_host_lookup,
-    "device_lookup_batched": bench_device_lookup_batched,
     "device_lookup_packed": bench_device_lookup_packed,
     "device_lookup_scalar": bench_device_lookup_scalar,
     "kernel_matrix": bench_kernel_matrix,

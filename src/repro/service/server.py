@@ -30,7 +30,7 @@ from .cache import KmerResultCache
 from .config import ServiceConfig
 from .dispatcher import Request, ServiceError, ServiceResponse, ShardWorker, _rid
 from .metrics import MetricsRegistry
-from .stats import STATS_SCHEMA, StatsPayload
+from .stats import STATS_SCHEMA
 
 
 class ClassificationService:
@@ -329,29 +329,27 @@ class ClassificationService:
                     merged = DeviceStats()
                 merged.absorb(device_stats)
         sim_time_ns = sum(w.sim_time_ns for w in self.shards)
-        out = StatsPayload(
-            {
-                "schema": STATS_SCHEMA,
-                "service": {
-                    "config": self.config.to_dict(),
-                    "k": self.k,
-                },
-                "health": {
-                    "shards": shard_rows,
-                    "healthy_shards": sum(
-                        1 for w in self.shards if w.health.state != "crashed"
-                    ),
-                    "degraded": degraded,
-                },
-                "clocks": {
-                    "sim_time_ns": sim_time_ns,
-                    "sim_energy_nj": sum(
-                        w.sim_energy_nj for w in self.shards
-                    ),
-                },
-                "metrics": self.metrics.snapshot(),
-            }
-        )
+        out: Dict[str, Any] = {
+            "schema": STATS_SCHEMA,
+            "service": {
+                "config": self.config.to_dict(),
+                "k": self.k,
+            },
+            "health": {
+                "shards": shard_rows,
+                "healthy_shards": sum(
+                    1 for w in self.shards if w.health.state != "crashed"
+                ),
+                "degraded": degraded,
+            },
+            "clocks": {
+                "sim_time_ns": sim_time_ns,
+                "sim_energy_nj": sum(
+                    w.sim_energy_nj for w in self.shards
+                ),
+            },
+            "metrics": self.metrics.snapshot(),
+        }
         if self.cache is not None:
             out["cache"] = self.cache.counters()
         if self.extender is not None:

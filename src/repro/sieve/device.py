@@ -15,7 +15,7 @@ examples run; the paper-scale benchmarks use the analytic
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +24,6 @@ from ..api import (
     BackendResult,
     BackendStats,
     classification_from_results,
-    warn_deprecated,
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
@@ -59,7 +58,10 @@ class DeviceStats:
     row_activations: int = 0
     write_commands: int = 0
     batches: int = 0
-    rows_per_query: List[int] = field(default_factory=list)
+    #: Rows activated -> number of queries that activated that many
+    #: (0 for index-filtered queries).  Bounded by the layout's row
+    #: count however many queries are served.
+    rows_histogram: Counter[int] = field(default_factory=Counter)
 
     @property
     def hit_rate(self) -> float:
@@ -82,7 +84,7 @@ class DeviceStats:
         self.row_activations += other.row_activations
         self.write_commands += other.write_commands
         self.batches += other.batches
-        self.rows_per_query.extend(other.rows_per_query)
+        self.rows_histogram.update(other.rows_histogram)
 
 
 class SieveDevice:
@@ -185,7 +187,6 @@ class SieveDevice:
         kmers: Sequence[int],
         *,
         batched: bool = True,
-        kernel: Optional[str] = None,
     ) -> List[DeviceResponse]:
         """The unified batch path: group per destination subarray,
         batches of <= 64 (:class:`repro.api.QueryBackend` surface).
@@ -196,23 +197,11 @@ class SieveDevice:
         reorder only for API convenience).
 
         ``batched=True`` (the default) matches each loaded batch through
-        the vectorized :meth:`~repro.sieve.functional.SieveSubarraySim.
-        match_all` fast path — ``kernel`` selects its engine (the
-        bit-packed uint64 kernel by default, ``"vector"`` for the PR-2
-        per-query path); ``batched=False`` replays the scalar
-        command-by-command path.  All paths produce identical responses
-        and functional counters (the equivalence is test-enforced).
-
-        ``kernel=None`` (the default) resolves through
-        :func:`repro.sieve.kernels.default_kernel`, so ``SIEVE_KERNEL``
-        can force an engine (``packed-numpy``, ``vector``, ...) on the
-        auto path; explicit callers stay pinned regardless of the
-        environment.
+        the bit-packed :meth:`~repro.sieve.functional.SieveSubarraySim.
+        match_all` engine; ``batched=False`` replays the scalar
+        command-by-command path.  Both produce identical responses and
+        functional counters (the equivalence is test-enforced).
         """
-        from . import kernels as _kernels
-
-        if kernel is None:
-            kernel = _kernels.default_kernel()
         responses: List[Optional[DeviceResponse]] = [None] * len(kmers)
         per_dest: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
         kmers = [self._normalize(kmer) for kmer in kmers]
@@ -221,7 +210,7 @@ class SieveDevice:
             if sid is None:
                 self.stats.queries += 1
                 self.stats.index_filtered += 1
-                self.stats.rows_per_query.append(0)
+                self.stats.rows_histogram[0] += 1
                 responses[pos] = DeviceResponse(kmer, False, None, None, 0, 0)
             else:
                 layer = self.subarrays[sid].route_layer(kmer)
@@ -236,29 +225,12 @@ class SieveDevice:
                 )
                 self.stats.batches += 1
                 if batched:
-                    outcomes = sim.match_all(kernel=kernel)
+                    outcomes = sim.match_all()
                 else:
                     outcomes = [sim.match_slot(slot) for slot in range(len(batch))]
                 for (pos, _), outcome in zip(batch, outcomes):
                     responses[pos] = self._record(outcome, sid)
         return [r for r in responses if r is not None]
-
-    def lookup(self, kmer: int) -> DeviceResponse:
-        """Deprecated single-query shim over :meth:`query`.
-
-        Equivalent to the historical scalar path: one k-mer routed,
-        loaded as its own batch of one, and matched command by command
-        (identical responses and functional counters).
-        """
-        warn_deprecated("SieveDevice.lookup()", "SieveDevice.query()")
-        return self.query([kmer], batched=False)[0]
-
-    def lookup_many(
-        self, kmers: Sequence[int], batched: bool = True
-    ) -> List[DeviceResponse]:
-        """Deprecated batch shim over :meth:`query`."""
-        warn_deprecated("SieveDevice.lookup_many()", "SieveDevice.query()")
-        return self.query(kmers, batched=batched)
 
     # -- protocol surface ------------------------------------------------------
 
@@ -307,7 +279,7 @@ class SieveDevice:
     def _record(self, outcome: MatchOutcome, sid: int) -> DeviceResponse:
         self.stats.queries += 1
         self.stats.row_activations += outcome.rows_activated
-        self.stats.rows_per_query.append(outcome.rows_activated)
+        self.stats.rows_histogram[outcome.rows_activated] += 1
         if outcome.hit:
             self.stats.hits += 1
         return DeviceResponse(

@@ -1,31 +1,16 @@
 """Bit-packed first-divergence kernels (word-parallel Region-1 matching).
 
-The PR-2 batched engine compares Region-1 reference columns against a
-query one ``uint8`` *bit* per element.  These kernels pack the same bit
-columns into ``uint64`` words (MSB-first, matching Region-1 row order:
-row ``r`` lands at bit ``63 - r`` of word ``r // 64``) and compute every
-query/column *first-divergence* row with one ``np.bitwise_xor`` pass
-plus a vectorized first-set-bit trick — the word-granularity analogue
-of what the sense-amplifier matchers do bit-serially.
-
-Two interchangeable implementations sit behind
-:func:`first_divergence`:
-
-* ``"numpy"`` — always available.  The leading set bit of each XOR word
-  is located through its big-endian byte view: ``argmax`` finds the
-  first non-zero byte, a 256-entry table supplies the leading-zero
-  count inside it.
-* ``"numba"`` — an ``@njit`` scalar loop over the same packed words,
-  available when the optional ``[compiled]`` extra is installed
-  (``pip install .[compiled]``).  Selected automatically when
-  importable; force either with ``SIEVE_KERNEL=numpy|numba``.
-
-Both return identical ``int64`` matrices — the bit-identity property
-suite (``tests/test_kernels_properties.py``) compares them against each
-other and against the scalar simulator.  Tail bits past ``rows`` in the
-last word are zero on both sides of the XOR by construction
-(:func:`pack_bit_columns` zero-pads), so odd widths can never introduce
-a phantom divergence.
+These kernels pack Region-1 bit columns into ``uint64`` words
+(MSB-first, matching Region-1 row order: row ``r`` lands at bit
+``63 - r`` of word ``r // 64``) and compute every query/column
+*first-divergence* row with one ``np.bitwise_xor`` pass plus a
+vectorized leading-set-bit step (:func:`bit_length64`) — the
+word-granularity analogue of what the sense-amplifier matchers do
+bit-serially.  Tail bits past ``rows`` in the last word are zero on
+both sides of the XOR by construction (:func:`pack_bit_columns`
+zero-pads), so odd widths can never introduce a phantom divergence.
+The property suite (``tests/test_kernels_properties.py``) checks both
+kernels against a scalar reference sweep and the scalar simulator.
 
 This module is deliberately free of wall-clock reads (SV012) and of
 mutable module state (SV009): fleet workers fork with these tables
@@ -34,28 +19,14 @@ mapped copy-on-write, and benchmarks time the kernels from outside.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
 
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Environment override for the implementation choice.
-KERNEL_ENV_VAR = "SIEVE_KERNEL"
-
-try:  # pragma: no cover - exercised only with the [compiled] extra
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the container default
-    _njit = None
-    HAVE_NUMBA = False
-
 
 class KernelError(ValueError):
-    """Raised on invalid kernel inputs or implementation selection."""
+    """Raised on invalid kernel inputs."""
 
 
 def _build_pop8() -> np.ndarray:
@@ -123,59 +94,10 @@ def pack_bit_columns(bits: np.ndarray) -> np.ndarray:
     )
 
 
-def available_implementations() -> tuple:
-    """Implementations usable in this interpreter, preferred first."""
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-#: Engine names accepted by ``SIEVE_KERNEL`` (alongside the legacy
-#: implementation spellings ``numpy``/``numba``, which pin the packed
-#: kernel's implementation without forcing an engine).
-KERNEL_NAMES = ("packed", "packed-numpy", "packed-numba", "vector")
-
-
-def _forced() -> str:
-    """Validated ``SIEVE_KERNEL`` value, or ``""`` when unset."""
-    forced = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    if forced and forced not in ("numpy", "numba") + KERNEL_NAMES:
-        raise KernelError(
-            f"{KERNEL_ENV_VAR}={forced!r} is not one of numpy/numba/"
-            + "/".join(KERNEL_NAMES)
-        )
-    if forced in ("numba", "packed-numba") and not HAVE_NUMBA:
-        raise KernelError(
-            f"{KERNEL_ENV_VAR}={forced} but numba is not installed "
-            "(pip install .[compiled])"
-        )
-    return forced
-
-
 def default_implementation() -> str:
-    """Active implementation: ``SIEVE_KERNEL`` override, else the best
-    available (numba when the ``[compiled]`` extra is installed)."""
-    forced = _forced()
-    if forced in ("numpy", "numba"):
-        return forced
-    if forced.startswith("packed-"):
-        return forced.partition("-")[2]
-    return available_implementations()[0]
-
-
-def default_kernel() -> str:
-    """Active *engine* selection for batched device matching.
-
-    ``SIEVE_KERNEL`` may name a full engine (``packed`` /
-    ``packed-numpy`` / ``packed-numba`` / ``vector``), forcing every
-    auto-path :meth:`~repro.sieve.device.SieveDevice.query` call onto
-    it — the CI matrix legs use this so kernel-selection bugs cannot
-    hide behind the default.  The legacy spellings ``numpy``/``numba``
-    pin only the packed implementation and leave the engine at
-    ``packed``; unset means ``packed``.
-    """
-    forced = _forced()
-    if forced in KERNEL_NAMES:
-        return forced
-    return "packed"
+    """Name of the first-divergence implementation (recorded by bench
+    harnesses alongside their results)."""
+    return "numpy"
 
 
 def segment_divergence(
@@ -215,10 +137,7 @@ def segment_divergence(
 
 
 def first_divergence(
-    ref_words: np.ndarray,
-    query_words: np.ndarray,
-    rows: int,
-    impl: Optional[str] = None,
+    ref_words: np.ndarray, query_words: np.ndarray, rows: int
 ) -> np.ndarray:
     """First-divergence row of every (query, reference-column) pair.
 
@@ -227,8 +146,7 @@ def first_divergence(
     (``W == words_for(rows)``).  Returns an ``(N, R)`` int64 matrix
     where entry ``[n, r]`` is the first row at which column ``r``
     differs from query ``n`` — or ``rows`` when they agree on every row
-    (a match).  ``impl`` forces ``"numpy"``/``"numba"``; the default
-    follows :func:`default_implementation`.
+    (a match).
     """
     ref_words = np.asarray(ref_words, dtype=np.uint64)
     query_words = np.asarray(query_words, dtype=np.uint64)
@@ -240,32 +158,7 @@ def first_divergence(
             f"expected {num_words} words for {rows} rows, got "
             f"{ref_words.shape[0]} (ref) and {query_words.shape[0]} (query)"
         )
-    chosen = impl if impl is not None else default_implementation()
-    if chosen == "numba":
-        if not HAVE_NUMBA:
-            raise KernelError(
-                "numba implementation requested but numba is not installed "
-                "(pip install .[compiled])"
-            )
-        out = np.empty(
-            (query_words.shape[1], ref_words.shape[1]), dtype=np.int64
-        )
-        _first_divergence_numba(
-            np.ascontiguousarray(ref_words),
-            np.ascontiguousarray(query_words),
-            rows,
-            out,
-        )
-        return out
-    if chosen != "numpy":
-        raise KernelError(f"unknown kernel implementation {chosen!r}")
-    return _first_divergence_numpy(ref_words, query_words, rows)
-
-
-def _first_divergence_numpy(
-    ref_words: np.ndarray, query_words: np.ndarray, rows: int
-) -> np.ndarray:
-    num_words, num_refs = ref_words.shape
+    num_refs = ref_words.shape[1]
     num_queries = query_words.shape[1]
     div = np.full((num_queries, num_refs), rows, dtype=np.int64)
     # Later words first: where an earlier word also differs, its (lower)
@@ -280,33 +173,3 @@ def _first_divergence_numpy(
         bit = WORD_BITS - bit_length64(xor)
         div = np.where(nonzero, w * WORD_BITS + bit, div)
     return div
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only with [compiled]
-
-    @_njit(cache=False)
-    def _first_divergence_numba(ref_words, query_words, rows, out):
-        num_words, num_refs = ref_words.shape
-        num_queries = query_words.shape[1]
-        for n in range(num_queries):
-            for r in range(num_refs):
-                d = rows
-                for w in range(num_words):
-                    x = query_words[w, n] ^ ref_words[w, r]
-                    if x != np.uint64(0):
-                        # 64 - bit_length(x) == leading zero count.
-                        c = 64
-                        while x != np.uint64(0):
-                            x = x >> np.uint64(1)
-                            c -= 1
-                        d = w * WORD_BITS + c
-                        break
-                out[n, r] = d
-
-else:
-
-    def _first_divergence_numba(ref_words, query_words, rows, out):
-        raise KernelError(
-            "numba implementation requested but numba is not installed "
-            "(pip install .[compiled])"
-        )

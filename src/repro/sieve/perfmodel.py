@@ -35,8 +35,9 @@ configurable imbalance factor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..dram.energy import DDR4_ENERGY, DramEnergy
 from ..dram.geometry import SIEVE_32GB, DramGeometry
@@ -134,15 +135,25 @@ class EspModel:
         return cls(tuple(shifted))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int], total_rows: int) -> "EspModel":
-        """Empirical distribution from functional-simulator measurements."""
-        counted = [r for r in rows if r > 0]
-        if not counted:
-            raise ModelError("no dispatched queries in the trace")
+    def from_rows(
+        cls, rows: Union[Sequence[int], Mapping[int, int]], total_rows: int
+    ) -> "EspModel":
+        """Empirical distribution from functional-simulator measurements.
+
+        ``rows`` is either one rows-activated value per query or a
+        histogram mapping rows activated to query count (the shape
+        :class:`~repro.sieve.device.DeviceStats` keeps); zero-row
+        (index-filtered) queries are ignored.
+        """
+        counts = rows if isinstance(rows, Mapping) else Counter(rows)
         probs = [0.0] * total_rows
-        for r in counted:
-            probs[min(r, total_rows) - 1] += 1.0
-        n = len(counted)
+        n = 0
+        for r, count in counts.items():
+            if r > 0:
+                probs[min(r, total_rows) - 1] += count
+                n += count
+        if not n:
+            raise ModelError("no dispatched queries in the trace")
         return cls(tuple(p / n for p in probs))
 
     @classmethod
@@ -204,18 +215,17 @@ class WorkloadStats:
     @classmethod
     def from_functional(cls, name: str, k: int, stats) -> "WorkloadStats":
         """Summarize a functional run's :class:`DeviceStats`."""
-        dispatched = [r for r in stats.rows_per_query if r > 0]
-        filtered = stats.queries - len(dispatched)
-        # Hits include 2 payload-fetch activations; strip them so the ESP
-        # distribution covers pattern rows only.
+        histogram = stats.rows_histogram
+        filtered = histogram.get(0, 0)
+        # Hits include 2 payload-fetch activations; from_rows clips them
+        # so the ESP distribution covers pattern rows only.
         total_rows = 2 * k
-        rows = [min(r, total_rows) for r in dispatched]
         return cls(
             name=name,
             k=k,
             num_kmers=stats.queries,
             hit_rate=stats.hit_rate,
-            esp=EspModel.from_rows(rows, total_rows),
+            esp=EspModel.from_rows(histogram, total_rows),
             index_filtered_fraction=filtered / stats.queries if stats.queries else 0.0,
         )
 

@@ -33,13 +33,25 @@ from repro.sieve.layout import LayoutError, SubarrayLayout
 TRIAL_SEEDS = list(range(12))
 
 
-def random_trial(rng: np.random.Generator):
+def _random_kmer(rng: np.random.Generator, space: int) -> int:
+    """Uniform draw from ``range(space)``, including spaces wider than
+    numpy's int64 (k > 31), assembled from 32-bit limbs."""
+    if space <= 1 << 62:
+        return int(rng.integers(0, space))
+    value = 0
+    for _ in range(-(-(space.bit_length() - 1) // 32)):
+        value = (value << 32) | int(rng.integers(0, 1 << 32))
+    return value % space
+
+
+def random_trial(rng: np.random.Generator, k_range=(3, 8)):
     """One random (layout, records, queries, etm, layer) configuration.
 
-    Returns None when the sampled geometry does not fit a subarray —
-    the caller resamples rather than constraining the space up front.
+    ``k`` is drawn from ``range(*k_range)``.  Returns None when the
+    sampled geometry does not fit a subarray — the caller resamples
+    rather than constraining the space up front.
     """
-    k = int(rng.integers(3, 8))
+    k = int(rng.integers(*k_range))
     refs_per_group = int(rng.integers(4, 14))
     queries_per_group = int(rng.integers(1, 5))
     num_groups = int(rng.integers(1, 4))
@@ -62,10 +74,15 @@ def random_trial(rng: np.random.Generator):
     space = 1 << (2 * k)
     capacity = min(layout.refs_per_subarray, space)
     num_records = int(rng.integers(1, capacity + 1))
-    kmers = rng.choice(space, size=num_records, replace=False)
+    if space <= 1 << 62:
+        kmers = [int(kmer) for kmer in rng.choice(space, num_records, replace=False)]
+    else:
+        wide = set()
+        while len(wide) < num_records:
+            wide.add(_random_kmer(rng, space))
+        kmers = sorted(wide)
     records = [
-        (int(kmer), int(rng.integers(0, 2**16)))
-        for kmer in np.sort(kmers)
+        (kmer, int(rng.integers(0, 2**16))) for kmer in sorted(kmers)
     ]
 
     batch_size = int(rng.integers(1, layout.queries_per_group + 1))
@@ -74,7 +91,7 @@ def random_trial(rng: np.random.Generator):
         if records and rng.random() < 0.5:
             queries.append(records[int(rng.integers(0, len(records)))][0])
         else:
-            queries.append(int(rng.integers(0, space)))
+            queries.append(_random_kmer(rng, space))
     etm_enabled = bool(rng.random() < 0.8)
     return layout, records, queries, etm_enabled
 
@@ -178,7 +195,7 @@ def test_match_all_slot_subset(small_layout):
 
 
 def test_device_level_batched_equals_scalar(small_layout, small_dataset):
-    """Whole-device equivalence: ``lookup_many`` batched vs scalar on
+    """Whole-device equivalence: ``query`` batched vs scalar on
     the shared synthetic dataset — responses and DeviceStats."""
     from repro.sieve import SieveDevice
 

@@ -56,9 +56,9 @@ class TestCompare:
         assert compare_to_baseline(current, baseline_for(base)) == []
 
     def test_counter_drift_fails_even_when_faster(self):
-        base = [result("device_lookup_batched", counters={"hits": 5})]
+        base = [result("device_lookup_packed", counters={"hits": 5})]
         current = [
-            result("device_lookup_batched", wall_s=0.1, counters={"hits": 6})
+            result("device_lookup_packed", wall_s=0.1, counters={"hits": 6})
         ]
         failures = compare_to_baseline(current, baseline_for(base))
         assert len(failures) == 1
@@ -90,7 +90,7 @@ class TestRegistry:
     def test_batched_and_scalar_counters_agree(self):
         results = run_benchmarks(
             quick=True,
-            only=["device_lookup_batched", "device_lookup_scalar"],
+            only=["device_lookup_packed", "device_lookup_scalar"],
         )
         assert results[0].counters == results[1].counters
 

@@ -12,15 +12,12 @@ settings so CI never flakes:
 * **helper round trips** — the vectorized ``_int_to_bits`` /
   ``_bits_to_int`` / ``_bit_rows_to_ints`` conversions invert each
   other and match Python's binary formatting;
-* **engine** — ``match_all`` under every entry of ``MATCH_KERNELS``
-  (auto fast path, pinned general numpy sweep, PR-2 vector) produces
-  outcomes, stats, and microarchitectural state bit-identical to the
-  scalar path — with and without a nonzero :class:`FaultInjector`
-  bit-flip rate corrupting the loaded arrays.
-
-The numba legs (``packed-numba`` engine kernel, ``impl="numba"``
-first-divergence) run only when the optional ``[compiled]`` extra is
-installed and are skipped cleanly otherwise.
+* **engine** — ``match_all`` on both of its sweeps (the single-word
+  ``segment_divergence`` fast path for k <= 32, the general
+  ``first_divergence`` sweep for k = 33..40) produces outcomes, stats,
+  and microarchitectural state bit-identical to the scalar path — with
+  and without a nonzero :class:`FaultInjector` bit-flip rate corrupting
+  the loaded arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultModel, fault_injection
 from repro.sieve import kernels
 from repro.sieve.functional import (
-    MATCH_KERNELS,
     SieveSubarraySim,
     _bit_rows_to_ints,
     _bits_to_int,
@@ -48,10 +44,6 @@ from .test_batched_equivalence import (
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba not installed ([compiled] extra)"
-)
 
 
 def _random_bits(seed: int, rows: int, cols: int) -> np.ndarray:
@@ -161,7 +153,6 @@ class TestFirstDivergence:
             kernels.pack_bit_columns(ref_bits),
             kernels.pack_bit_columns(query_bits),
             rows,
-            impl="numpy",
         )
         assert np.array_equal(
             div, _reference_first_divergence(ref_bits, query_bits)
@@ -200,11 +191,6 @@ class TestFirstDivergence:
         with pytest.raises(KernelError):
             kernels.first_divergence(ref, ref, 64)
 
-    def test_unknown_impl_rejected(self):
-        words = np.zeros((1, 2), dtype=np.uint64)
-        with pytest.raises(KernelError):
-            kernels.first_divergence(words, words, 8, impl="simd")
-
     def test_segment_divergence_validation(self):
         xor = np.zeros((2, 4), dtype=np.uint64)
         starts = np.array([0, 2])
@@ -214,51 +200,6 @@ class TestFirstDivergence:
             kernels.segment_divergence(xor, 65, starts)
         with pytest.raises(KernelError):
             kernels.segment_divergence(xor, 0, starts)
-
-    @needs_numba
-    @SETTINGS
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        rows=st.sampled_from([1, 26, 64, 65, 130]),
-        num_refs=st.integers(1, 10),
-        num_queries=st.integers(1, 5),
-    )
-    def test_numba_matches_numpy(self, seed, rows, num_refs, num_queries):
-        ref_words = kernels.pack_bit_columns(
-            _random_bits(seed, rows, num_refs)
-        )
-        query_words = kernels.pack_bit_columns(
-            _random_bits(seed + 1, rows, num_queries)
-        )
-        assert np.array_equal(
-            kernels.first_divergence(ref_words, query_words, rows, "numba"),
-            kernels.first_divergence(ref_words, query_words, rows, "numpy"),
-        )
-
-    def test_numba_unavailable_raises(self):
-        if kernels.HAVE_NUMBA:
-            pytest.skip("numba installed; the stub is unreachable")
-        words = np.zeros((1, 2), dtype=np.uint64)
-        with pytest.raises(KernelError):
-            kernels.first_divergence(words, words, 8, impl="numba")
-
-
-class TestImplementationSelection:
-    def test_available(self):
-        impls = kernels.available_implementations()
-        assert "numpy" in impls
-        assert ("numba" in impls) == kernels.HAVE_NUMBA
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        assert kernels.default_implementation() == "numpy"
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "vhdl")
-        with pytest.raises(KernelError):
-            kernels.default_implementation()
-        if not kernels.HAVE_NUMBA:
-            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numba")
-            with pytest.raises(KernelError):
-                kernels.default_implementation()
 
 
 class TestIntBitsRoundTrip:
@@ -297,44 +238,60 @@ class TestIntBitsRoundTrip:
             _bit_rows_to_ints(np.zeros((2, 7), dtype=np.uint8))
 
 
-# Engine kernels testable in this interpreter (numba leg when present).
-_ENGINE_KERNELS = [
-    k
-    for k in MATCH_KERNELS
-    if kernels.HAVE_NUMBA or k != "packed-numba"
-]
+#: The packed engine's two sweeps, each keyed by the layouts that reach
+#: it (``match_all`` chooses from ``kernels.words_for(rows)``):
+#: ``"packed"`` — k = 3..7, one uint64 word, the ``segment_divergence``
+#: fast path; ``"packed-numpy"`` — k = 33..40, two words, the general
+#: per-group numpy ``first_divergence`` sweep.
+SWEEP_K_RANGES = {"packed": (3, 8), "packed-numpy": (33, 41)}
 
 
-def _trial(seed: int):
+def _trial(seed: int, sweep: str):
     rng = np.random.default_rng(20_000 + seed)
+    k_range = SWEEP_K_RANGES[sweep]
     trial = None
     while trial is None:
-        trial = random_trial(rng)
-    return trial
+        trial = random_trial(rng, k_range)
+    layout, records, queries, etm_enabled = trial
+    if kernels.words_for(layout.kmer_rows) > 1:
+        # Near misses: flip one low bit of a stored k-mer (a row past
+        # the first word) so some divergences land in the second word.
+        tail_bits = layout.kmer_rows - kernels.WORD_BITS
+        queries = [
+            query
+            if i % 2 == 0
+            else records[i % len(records)][0]
+            ^ (1 << int(rng.integers(0, tail_bits)))
+            for i, query in enumerate(queries)
+        ]
+    return layout, records, queries, etm_enabled
 
 
 class TestEngineBitIdentity:
-    @pytest.mark.parametrize("kernel", _ENGINE_KERNELS)
+    @pytest.mark.parametrize("sweep", sorted(SWEEP_K_RANGES))
     @pytest.mark.parametrize("seed", range(6))
-    def test_every_kernel_matches_scalar(self, kernel, seed):
-        layout, records, queries, etm_enabled = _trial(seed)
+    def test_every_kernel_matches_scalar(self, sweep, seed):
+        layout, records, queries, etm_enabled = _trial(seed, sweep)
+        assert (kernels.words_for(layout.kmer_rows) == 1) == (
+            sweep == "packed"
+        )
         scalar = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
         fast = SieveSubarraySim(layout, records, etm_enabled=etm_enabled)
         layer = scalar.route_layer(queries[0])
         scalar.load_query_batch(queries, layer)
         fast.load_query_batch(queries, layer)
         s_out = [scalar.match_slot(s) for s in range(len(queries))]
-        f_out = fast.match_all(kernel=kernel)
+        f_out = fast.match_all()
         assert_equivalent(scalar, fast, s_out, f_out)
 
-    @pytest.mark.parametrize("kernel", _ENGINE_KERNELS)
+    @pytest.mark.parametrize("sweep", sorted(SWEEP_K_RANGES))
     @pytest.mark.parametrize("seed", range(4))
-    def test_bit_identity_under_faults(self, kernel, seed):
+    def test_bit_identity_under_faults(self, sweep, seed):
         """Load-time bit flips corrupt every replica identically (same
-        seeded model, fresh injector per build), so the packed engines
+        seeded model, fresh injector per build), so the packed engine
         must reproduce the scalar path's answers on the *corrupted*
         arrays too."""
-        layout, records, queries, etm_enabled = _trial(100 + seed)
+        layout, records, queries, etm_enabled = _trial(100 + seed, sweep)
         model = FaultModel(bit_flip_rate=2e-2, seed=9_000 + seed)
 
         def build(match):
@@ -350,24 +307,6 @@ class TestEngineBitIdentity:
         scalar, s_out, s_inj = build(
             lambda sim: [sim.match_slot(s) for s in range(len(queries))]
         )
-        fast, f_out, f_inj = build(lambda sim: sim.match_all(kernel=kernel))
+        fast, f_out, f_inj = build(lambda sim: sim.match_all())
         assert f_inj.stats.bits_flipped == s_inj.stats.bits_flipped
         assert_equivalent(scalar, fast, s_out, f_out)
-
-    def test_unknown_kernel_rejected(self):
-        layout, records, queries, _ = _trial(0)
-        sim = SieveSubarraySim(layout, records)
-        sim.load_query_batch(queries, sim.route_layer(queries[0]))
-        from repro.sieve.functional import FunctionalError
-
-        with pytest.raises(FunctionalError):
-            sim.match_all(kernel="quantum")
-
-    def test_packed_numba_unavailable_raises(self):
-        if kernels.HAVE_NUMBA:
-            pytest.skip("numba installed; the stub is unreachable")
-        layout, records, queries, _ = _trial(1)
-        sim = SieveSubarraySim(layout, records)
-        sim.load_query_batch(queries, sim.route_layer(queries[0]))
-        with pytest.raises(KernelError):
-            sim.match_all(kernel="packed-numba")

@@ -248,35 +248,23 @@ class TestObservability:
         assert stats["observed"]["pipeline"]["bottleneck"]
         json.dumps(stats)  # the /stats payload must serialize
 
-    def test_deprecated_flat_keys_warn_and_alias(
+    def test_json_payload_emits_only_v2_keys(
         self, small_dataset, small_layout
     ):
-        """The v1 flat keys stay readable one release, loudly.
-
-        The intentional v1 reads below carry ``lint: disable=SV013`` so
-        the repo's own lint self-check stays clean (SV013 bans
-        deprecated flat stats keys everywhere else).
-        """
-        from repro.service import DEPRECATED_STATS_KEYS
+        from repro.service import STATS_SCHEMA
 
         service = make_service(small_dataset, small_layout)
         asyncio.run(serve_all(service, small_dataset.reads))
         stats = service.stats()
-        for old_key, (section, new_key) in DEPRECATED_STATS_KEYS.items():
-            with pytest.warns(DeprecationWarning, match=old_key):
-                legacy = stats[old_key]  # lint: disable=SV013
-            assert legacy == stats[section][new_key]
-
-    def test_json_payload_emits_only_v2_keys(
-        self, small_dataset, small_layout
-    ):
-        from repro.service import DEPRECATED_STATS_KEYS, STATS_SCHEMA
-
-        service = make_service(small_dataset, small_layout)
-        asyncio.run(serve_all(service, small_dataset.reads))
-        payload = json.loads(json.dumps(service.stats()))
+        assert type(stats) is dict
+        payload = json.loads(json.dumps(stats))
         assert payload["schema"] == STATS_SCHEMA
-        for old_key in DEPRECATED_STATS_KEYS:
+        # The flat sieve-stats-v1 spellings, now only inside sections.
+        v1_keys = (
+            "config", "k", "shards", "healthy_shards", "degraded",
+            "sim_time_ns", "sim_energy_nj",
+        )
+        for old_key in v1_keys:
             assert old_key not in payload
 
     def test_shard_stats_merge_matches_totals(
