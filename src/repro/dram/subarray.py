@@ -130,6 +130,46 @@ class Subarray:
             bits = injector.on_subarray_load(self, row, col_start, bits)
         self._cells[row, col_start : col_start + len(bits)] = bits % 2
 
+    def load_block(
+        self, row: int, col_starts: np.ndarray, width: int, bits: np.ndarray
+    ) -> None:
+        """Install a block of equal-width column runs (load path).
+
+        Row ``row + i`` takes ``bits[i]``, split into one ``width``-bit
+        run per entry of ``col_starts``: run ``j`` lands at columns
+        ``[col_starts[j], col_starts[j] + width)``.  The effect is that
+        of :meth:`load_bits` per (row, run) in row-major order, which is
+        also the order an installed fault injector sees them in; without
+        an injector the whole block is one assignment.
+        """
+        starts = np.asarray(col_starts, dtype=np.intp)
+        if bits.ndim != 2 or bits.shape[1] != starts.size * width:
+            raise ValueError(
+                f"expected {starts.size} runs of {width} bits per row, "
+                f"got shape {bits.shape}"
+            )
+        num_rows = bits.shape[0]
+        if row < 0 or row + num_rows > self.rows:
+            raise IndexError(
+                f"rows [{row}, {row + num_rows}) out of range [0, {self.rows})"
+            )
+        if starts.size and (starts.min() < 0 or starts.max() + width > self.cols):
+            raise IndexError(
+                f"column runs [{starts.min()}, {starts.max() + width}) out of "
+                f"range [0, {self.cols})"
+            )
+        injector = hooks.INJECTOR
+        if injector is None:
+            cols = (starts[:, None] + np.arange(width)).ravel()
+            self._cells[row : row + num_rows, cols] = bits % 2
+            return
+        for i in range(num_rows):
+            for j, start in enumerate(starts.tolist()):
+                run = injector.on_subarray_load(
+                    self, row + i, start, bits[i, j * width : (j + 1) * width]
+                )
+                self._cells[row + i, start : start + width] = run % 2
+
     def peek(self, row: int, col: int) -> int:
         """Read one stored bit without any timing effect (debug/tests)."""
         self._check_row(row)

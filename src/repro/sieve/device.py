@@ -15,7 +15,8 @@ examples run; the paper-scale benchmarks use the analytic
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from ..api import (
 )
 from ..dram.geometry import DramGeometry
 from ..genomics.database import KmerDatabase
-from .functional import MatchOutcome, SieveSubarraySim
+from .functional import SieveSubarraySim
 from .index import SubarrayIndex
 from .layout import SubarrayLayout
 
@@ -113,6 +114,19 @@ class SieveDevice:
         #: as the software classifiers do.
         self.canonical = canonical
         self.stats = DeviceStats()
+        # Flat routing table, one entry per (subarray, layer) in k-mer
+        # order: the host range index and each subarray controller's
+        # layer selection folded into one bisect.  A subarray's first
+        # layer starts at its index entry's first k-mer.
+        self._dest_firsts: List[int] = []
+        self._dests: List[Tuple[int, int, int]] = []
+        for entry in index.entries:
+            sid = entry.subarray_id
+            firsts = subarrays[sid].layer_firsts
+            firsts[0] = entry.first_kmer
+            for layer, first in enumerate(firsts):
+                self._dest_firsts.append(first)
+                self._dests.append((sid, layer, entry.last_kmer))
         # Snapshot fault state at construction: a device loaded while an
         # active fault model was installed holds corrupted cells for its
         # whole lifetime, even after the injector is uninstalled.
@@ -202,34 +216,61 @@ class SieveDevice:
         command-by-command path.  Both produce identical responses and
         functional counters (the equivalence is test-enforced).
         """
-        responses: List[Optional[DeviceResponse]] = [None] * len(kmers)
-        per_dest: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
         kmers = [self._normalize(kmer) for kmer in kmers]
+        responses: List[Optional[DeviceResponse]] = [None] * len(kmers)
+        # Destination -> request positions, in first-appearance order:
+        # the fault schedule and each subarray's final matcher/ETM
+        # state depend on the order batches are issued in.
+        per_dest: Dict[int, List[int]] = {}
+        firsts, dests = self._dest_firsts, self._dests
+        filtered = 0
         for pos, kmer in enumerate(kmers):
-            sid = self.index.route(kmer)
-            if sid is None:
-                self.stats.queries += 1
-                self.stats.index_filtered += 1
-                self.stats.rows_histogram[0] += 1
+            dest = bisect.bisect_right(firsts, kmer) - 1
+            if dest < 0 or kmer > dests[dest][2]:
+                filtered += 1
                 responses[pos] = DeviceResponse(kmer, False, None, None, 0, 0)
+            elif dest in per_dest:
+                per_dest[dest].append(pos)
             else:
-                layer = self.subarrays[sid].route_layer(kmer)
-                per_dest[(sid, layer)].append((pos, kmer))
+                per_dest[dest] = [pos]
+        stats = self.stats
+        if filtered:
+            stats.queries += filtered
+            stats.index_filtered += filtered
+            stats.rows_histogram[0] += filtered
         batch_size = self.layout.queries_per_group
-        for (sid, layer), requests in per_dest.items():
+        for dest, positions in per_dest.items():
+            sid, layer, _ = dests[dest]
             sim = self.subarrays[sid]
-            for start in range(0, len(requests), batch_size):
-                batch = requests[start : start + batch_size]
-                self.stats.write_commands += sim.load_query_batch(
-                    [kmer for _, kmer in batch], layer
-                )
-                self.stats.batches += 1
+            for start in range(0, len(positions), batch_size):
+                batch_pos = positions[start : start + batch_size]
+                batch = [kmers[pos] for pos in batch_pos]
+                stats.write_commands += sim.load_query_batch(batch, layer)
+                stats.batches += 1
                 if batched:
-                    outcomes = sim.match_all()
+                    columns = sim.match_all()
+                    hits = columns.hit.tolist()
+                    payloads = columns.payload.tolist()
+                    rows = columns.rows_activated.tolist()
+                    flushes = columns.etm_flush_cycles.tolist()
                 else:
                     outcomes = [sim.match_slot(slot) for slot in range(len(batch))]
-                for (pos, _), outcome in zip(batch, outcomes):
-                    responses[pos] = self._record(outcome, sid)
+                    hits = [o.hit for o in outcomes]
+                    payloads = [o.payload for o in outcomes]
+                    rows = [o.rows_activated for o in outcomes]
+                    flushes = [o.etm_flush_cycles for o in outcomes]
+                stats.queries += len(batch)
+                stats.hits += sum(hits)
+                stats.row_activations += sum(rows)
+                # Counter.update counts list elements in order, so keys
+                # keep first-appearance order.
+                stats.rows_histogram.update(rows)
+                for pos, kmer, hit, payload, nrows, flush in zip(
+                    batch_pos, batch, hits, payloads, rows, flushes
+                ):
+                    responses[pos] = DeviceResponse(
+                        kmer, hit, payload if hit else None, sid, nrows, flush
+                    )
         return [r for r in responses if r is not None]
 
     # -- protocol surface ------------------------------------------------------
@@ -274,21 +315,6 @@ class SieveDevice:
         results = self.query(list(read.kmers(self.layout.k)))
         return classification_from_results(
             read.seq_id, results, true_taxon=read.taxon_id
-        )
-
-    def _record(self, outcome: MatchOutcome, sid: int) -> DeviceResponse:
-        self.stats.queries += 1
-        self.stats.row_activations += outcome.rows_activated
-        self.stats.rows_histogram[outcome.rows_activated] += 1
-        if outcome.hit:
-            self.stats.hits += 1
-        return DeviceResponse(
-            query=outcome.query,
-            hit=outcome.hit,
-            payload=outcome.payload,
-            subarray_id=sid,
-            rows_activated=outcome.rows_activated,
-            etm_flush_cycles=outcome.etm_flush_cycles,
         )
 
     # -- accounting ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,18 +76,127 @@ def _bits_to_int(bits: np.ndarray) -> int:
 def _bit_rows_to_ints(bits: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_bits_to_int` over an ``(N, width)`` bit matrix.
 
-    ``width`` must be a multiple of 8 (Region-2/3 entries are 32 bits).
+    ``width`` must be a multiple of 8 and at most 64 (Region-2/3
+    entries are 32 bits).
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape[1] % 8:
+    if bits.shape[1] % 8 or bits.shape[1] > 64:
         raise FunctionalError(
-            f"row width must be a multiple of 8, got {bits.shape[1]}"
+            f"row width must be a multiple of 8 up to 64, got {bits.shape[1]}"
         )
-    packed = np.packbits(bits, axis=1, bitorder="big").astype(np.int64)
-    values = np.zeros(bits.shape[0], dtype=np.int64)
-    for byte in range(packed.shape[1]):
-        values = (values << 8) | packed[:, byte]
-    return values
+    packed = np.packbits(bits, axis=1, bitorder="big")
+    words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+    words[:, 8 - packed.shape[1] :] = packed
+    return words.view(">u8").ravel().astype(np.int64)
+
+
+def _ints_to_bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Row-wise :func:`_int_to_bits`: ``(N, width)`` bits, ``width <= 64``."""
+    for value in values:
+        if value < 0 or value >= (1 << width):
+            raise FunctionalError(f"value {value} does not fit in {width} bits")
+    words = np.asarray(values, dtype=np.uint64).astype(">u8")
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1)
+    return bits[:, 64 - width :]
+
+
+def _sr_chain(seg_max: np.ndarray, steps: int) -> np.ndarray:
+    """SR chain contents after ``steps`` ETM pipeline steps (closed form).
+
+    Unrolling ``SR[i](t) = seg_or[i](t) | SR[i-1](t-1)`` with
+    ``SR[*](0) = 1`` and ``seg_or[g](t) = (seg_max[g] >= t)`` gives
+    ``SR[i] = i >= t or max_{g<=i}(seg_max[g] - g) >= t - i``: the
+    preset 1 has not drained, or some segment ``g`` was still live
+    ``i - g`` steps before the end.  ``seg_max`` is ``(segments,)`` or
+    ``(queries, segments)``.
+    """
+    seg_idx = np.arange(seg_max.shape[-1])
+    prefix = np.maximum.accumulate(seg_max - seg_idx, axis=-1)
+    return (seg_idx >= steps) | (prefix >= steps - seg_idx)
+
+
+@dataclass(frozen=True, eq=False)
+class MatchColumns:
+    """Columnar result of :meth:`SieveSubarraySim.match_all`.
+
+    One entry per matched slot, in request order.  Misses carry
+    ``payload == 0``, ``column == -1`` and ``etm_flush_cycles == 0``;
+    :meth:`outcomes` expands the columns into the
+    :class:`MatchOutcome` list the scalar path returns.
+    """
+
+    layer: int
+    segment_size: int
+    #: Object dtype, so k-mers wider than 64 bits stay exact.
+    query: np.ndarray
+    hit: np.ndarray
+    payload: np.ndarray
+    column: np.ndarray
+    rows_activated: np.ndarray
+    etm_flush_cycles: np.ndarray
+    etm_terminated_early: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.hit.size)
+
+    def outcomes(self) -> List[MatchOutcome]:
+        """Per-slot :class:`MatchOutcome` records (API and test view)."""
+        size = self.segment_size
+        outcomes: List[MatchOutcome] = []
+        for query, hit, payload, column, rows, flush, early in zip(
+            self.query.tolist(),
+            self.hit.tolist(),
+            self.payload.tolist(),
+            self.column.tolist(),
+            self.rows_activated.tolist(),
+            self.etm_flush_cycles.tolist(),
+            self.etm_terminated_early.tolist(),
+        ):
+            cf = None
+            if hit:
+                segment = column // size
+                # Closed-form ColumnFinder run: the shifter stops at the
+                # first live latch (strict=False), which is the lowest
+                # hit column since reference columns ascend.
+                cf = ColumnFindResult(
+                    column=column,
+                    segment=segment,
+                    bsr_shift_cycles=segment + 1,
+                    copy_cycles=1,
+                    rs_shift_cycles=column - segment * size + 1,
+                )
+            outcomes.append(
+                MatchOutcome(
+                    query=query,
+                    hit=hit,
+                    payload=payload if hit else None,
+                    column=column if hit else None,
+                    layer=self.layer,
+                    rows_activated=rows,
+                    etm_flush_cycles=flush,
+                    cf=cf,
+                    etm_terminated_early=early,
+                )
+            )
+        return outcomes
+
+
+class _LayerImage(NamedTuple):
+    """One layer's match tables, built from the stored cells (so
+    load-time fault corruption is included) and frozen: shared by every
+    later match and by forked fleet workers."""
+
+    #: Occupied Region-1 columns as packed uint64 words.
+    ref_words: np.ndarray
+    #: Per-group reference slot boundaries.
+    group_bounds: np.ndarray
+    #: Occupied ETM segments and their reduceat starts.
+    seg_ids: np.ndarray
+    seg_starts: np.ndarray
+    #: Region-2 entry of every reference slot, wrapped into the layer.
+    offsets: np.ndarray
+    #: Region-3 entry of every payload index.
+    payloads: np.ndarray
 
 
 class SieveSubarraySim:
@@ -125,15 +234,11 @@ class SieveSubarraySim:
         #: Match-Enable masks keyed by (layer, record count); rebuilt when
         #: references are (re)loaded.
         self._enable_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Packed Region-1 reference words per layer (uint64, MSB-first)
-        #: plus group/segment boundary arrays, built lazily from the
-        #: stored cells — so load-time fault corruption is packed in —
-        #: and invalidated with the enable cache when references are
-        #: (re)loaded.  Query columns are re-packed per batch (they
-        #: change on every load).
-        self._ref_words_cache: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        #: Per-layer match tables (:class:`_LayerImage`), built lazily
+        #: from the stored cells and invalidated with the enable cache
+        #: when references are (re)loaded.  Query columns are re-packed
+        #: per batch (they change on every load).
+        self._layer_images: Dict[int, _LayerImage] = {}
         # Layer occupancy and first-kmer table (subarray controller state).
         per_layer = layout.refs_per_layer
         self._layer_records: List[List[Tuple[int, int]]] = [
@@ -147,27 +252,50 @@ class SieveSubarraySim:
     def num_layers_used(self) -> int:
         return len(self._layer_records)
 
+    @property
+    def layer_firsts(self) -> List[int]:
+        """First k-mer of every occupied layer (ascending): the
+        subarray controller's layer-selection table."""
+        return list(self._layer_firsts)
+
     # -- load paths ---------------------------------------------------------
 
     def _load_references(self) -> None:
         layout = self.layout
         self._enable_cache.clear()
-        self._ref_words_cache.clear()
+        self._layer_images.clear()
         for layer, chunk in enumerate(self._layer_records):
-            kmers = [k for k, _ in chunk]
-            ref_matrix = layout.ref_bit_matrix(kmers)
             base = layout.layer_base_row(layer)
-            for bit in range(layout.kmer_rows):
-                self.array.load_row(base + bit, ref_matrix[bit])
+            ref_matrix = layout.ref_bit_matrix([k for k, _ in chunk])
+            self.array.load_block(base, [0], layout.row_bits, ref_matrix)
             # Region 2: offset of each slot's payload (identity mapping
             # here, but fetched through the array like the real device).
-            for slot in range(len(chunk)):
-                row, col = layout.offset_location(layer, slot)
-                self.array.load_bits(row, col, _int_to_bits(slot, OFFSET_BITS))
+            offsets_row = base + layout.kmer_rows
+            self._load_entries(offsets_row, range(len(chunk)), OFFSET_BITS)
             # Region 3: payloads.
-            for slot, (_, payload) in enumerate(chunk):
-                row, col = layout.payload_location(layer, slot)
-                self.array.load_bits(row, col, _int_to_bits(payload, PAYLOAD_BITS))
+            payloads_row = offsets_row + layout.offset_rows
+            self._load_entries(
+                payloads_row, [payload for _, payload in chunk], PAYLOAD_BITS
+            )
+
+    def _load_entries(
+        self, first_row: int, values: Sequence[int], width: int
+    ) -> None:
+        """Install ``width``-bit entries row-major from ``first_row``
+        (Regions 2/3): the full rows as one block, then the partial last
+        row.  A fault injector sees one run per entry, in entry order."""
+        per_row = self.layout.row_bits // width
+        bits = _ints_to_bit_rows(values, width)
+        full = len(bits) // per_row
+        starts = np.arange(per_row) * width
+        if full:
+            block = bits[: full * per_row].reshape(full, per_row * width)
+            self.array.load_block(first_row, starts, width, block)
+        rest = bits[full * per_row :]
+        if len(rest):
+            self.array.load_block(
+                first_row + full, starts[: len(rest)], width, rest.reshape(1, -1)
+            )
 
     def route_layer(self, kmer: int) -> int:
         """Layer whose sorted range should contain ``kmer``."""
@@ -185,14 +313,12 @@ class SieveSubarraySim:
                 f"layer {layer} out of range [0, {self.num_layers_used})"
             )
         layout = self.layout
-        matrix = layout.query_bit_matrix(list(queries))
-        base = layout.layer_base_row(layer)
-        col_ranges = [layout.query_columns(g) for g in range(layout.num_groups)]
-        for bit in range(layout.kmer_rows):
-            for cols in col_ranges:
-                self.array.load_bits(
-                    base + bit, cols.start, matrix[bit, cols.start : cols.stop]
-                )
+        self.array.load_block(
+            layout.layer_base_row(layer),
+            layout.query_column_matrix[:, 0],
+            layout.queries_per_group,
+            layout.query_block(queries),
+        )
         self._batch = list(queries)
         self._batch_layer = layer
         self.batch_loads += 1
@@ -329,47 +455,66 @@ class SieveSubarraySim:
 
     # -- batched matching -----------------------------------------------------
 
-    def _packed_layer(
-        self, layer: int, region1: np.ndarray, enable_cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Layer's packed reference words + group/segment boundaries.
-
-        Returns ``(ref_words, group_bounds, seg_ids, seg_starts)``:
-        the occupied Region-1 columns as uint64 words (packed from the
-        stored cells, so load-time fault corruption is included), the
-        per-group slot boundaries, and the reduceat boundaries of the
-        occupied ETM segments.  All pure functions of the loaded
-        references, cached until :meth:`_load_references` invalidates.
-        """
-        cached = self._ref_words_cache.get(layer)
-        if cached is None:
-            words = kernels.pack_bit_columns(region1[:, enable_cols])
-            group_bounds = np.searchsorted(
-                self.layout.column_group_index[: enable_cols.size],
-                np.arange(self.layout.num_groups + 1),
-            )
+    def _layer_image(self, layer: int) -> _LayerImage:
+        """The layer's match tables, cached until
+        :meth:`_load_references` invalidates them."""
+        image = self._layer_images.get(layer)
+        if image is None:
+            layout = self.layout
+            base = layout.layer_base_row(layer)
+            enable_cols = layout.ref_slot_columns[
+                : len(self._layer_records[layer])
+            ]
+            region1 = self.array.peek_rows(base, base + layout.kmer_rows)
             seg_ids, seg_starts = np.unique(
                 enable_cols // self.etm.segment_size, return_index=True
             )
-            # Frozen on entry: shared by every later match and by forked
-            # fleet workers, so no caller may mutate them in place.
-            for array in (words, group_bounds, seg_ids, seg_starts):
+            offsets_row = base + layout.kmer_rows
+            # The payload decoder wraps: with pristine cells the offset is
+            # always in range, but a fault-corrupted Region-2 word must
+            # still address *some* Region-3 slot.
+            offsets = self._decode_entries(
+                offsets_row, layout.offset_rows, OFFSET_BITS
+            ) % layout.refs_per_layer
+            image = _LayerImage(
+                ref_words=kernels.pack_bit_columns(region1[:, enable_cols]),
+                group_bounds=np.searchsorted(
+                    layout.column_group_index[: enable_cols.size],
+                    np.arange(layout.num_groups + 1),
+                ),
+                seg_ids=seg_ids,
+                seg_starts=seg_starts,
+                offsets=offsets,
+                payloads=self._decode_entries(
+                    offsets_row + layout.offset_rows,
+                    layout.payload_rows,
+                    PAYLOAD_BITS,
+                ),
+            )
+            for array in image:
                 array.setflags(write=False)
-            cached = (words, group_bounds, seg_ids, seg_starts)
-            self._ref_words_cache[layer] = cached
-        return cached
+            self._layer_images[layer] = image
+        return image
 
-    def match_all(
-        self, slots: Optional[Sequence[int]] = None
-    ) -> List[MatchOutcome]:
+    def _decode_entries(self, first_row: int, rows: int, width: int) -> np.ndarray:
+        """The layer's ``width``-bit Region-2/3 entries, row-major from
+        ``first_row``, decoded from the stored cells."""
+        per_row = self.layout.row_bits // width
+        cells = self.array.peek_rows(first_row, first_row + rows)
+        entries = cells[:, : per_row * width].reshape(-1, width)
+        return _bit_rows_to_ints(entries)[: self.layout.refs_per_layer]
+
+    def match_all(self, slots: Optional[Sequence[int]] = None) -> MatchColumns:
         """Match loaded batch slots in one vectorized pass.
 
-        Fast path equivalent to ``[self.match_slot(s) for s in slots]``:
-        instead of replaying row activations one Python-level DRAM
-        command at a time, it computes every query's per-column
+        Fast path equivalent to ``[self.match_slot(s) for s in slots]``
+        (returned as :class:`MatchColumns`; ``.outcomes()`` gives that
+        list): instead of replaying row activations one Python-level
+        DRAM command at a time, it computes every query's per-column
         *first-divergence* row over bit-packed ``uint64`` words
-        (:mod:`repro.sieve.kernels`).  Layouts whose rows fit one word
-        (``k <= 32``) reduce the raw XOR matrix per ETM segment with
+        (:mod:`repro.sieve.kernels`), packing and comparing only the
+        requested slots.  Layouts whose rows fit one word (``k <= 32``)
+        reduce the raw XOR matrix per ETM segment with
         :func:`~repro.sieve.kernels.segment_divergence`; wider layouts
         run one :func:`~repro.sieve.kernels.first_divergence` call per
         pattern group.  Everything observable is then synthesized
@@ -377,223 +522,140 @@ class SieveSubarraySim:
         produces it (property-test enforced,
         tests/test_kernels_properties.py):
 
-        * :class:`MatchOutcome` fields, including ``rows_activated``
-          under the ETM's one-row-late interrupt semantics and the SR
-          drain (``etm_flush_cycles``) from the closed-form SR recurrence;
+        * every :class:`MatchOutcome` field, including
+          ``rows_activated`` under the ETM's one-row-late interrupt
+          semantics and the SR drain (``etm_flush_cycles``) from
+          :func:`_sr_chain`;
         * :class:`~repro.dram.subarray.SubarrayStats` counters (ACT/PRE
           pairs charged analytically);
         * matcher / ETM pipeline state after the final query.
         """
-        slots = list(range(len(self._batch)) if slots is None else slots)
+        batch_len = len(self._batch)
+        if slots is None:
+            slot_arr = np.arange(batch_len, dtype=np.intp)
+        else:
+            slot_arr = np.asarray(slots, dtype=np.intp).reshape(-1)
+            bad = np.flatnonzero((slot_arr < 0) | (slot_arr >= batch_len))
+            if bad.size:
+                raise FunctionalError(
+                    f"batch slot {int(slot_arr[bad[0]])} out of range "
+                    f"[0, {batch_len})"
+                )
         layout = self.layout
         layer = self._batch_layer
-        for batch_slot in slots:
-            if not 0 <= batch_slot < len(self._batch):
-                raise FunctionalError(
-                    f"batch slot {batch_slot} out of range "
-                    f"[0, {len(self._batch)})"
-                )
         self.matchers.set_enable(self._layer_enable(layer))
-        if not slots:
-            return []
+        num_queries = slot_arr.size
         num_refs = len(self._layer_records[layer])
         total_rows = layout.kmer_rows
         base = layout.layer_base_row(layer)
-        num_queries = len(slots)
-        region1 = self.array.peek_rows(base, base + total_rows)
+        image = self._layer_image(layer)
         enable_cols = layout.ref_slot_columns[:num_refs]
-        slot_arr = np.asarray(slots, dtype=np.intp)
-
-        # Pack: reference words once per layer, query replicas per batch
-        # (each group broadcasts its own — possibly fault-corrupted —
-        # replica, so replicas are packed per group, not per query).
-        ref_words, group_bounds, seg_ids, seg_starts = self._packed_layer(
-            layer, region1, enable_cols
-        )
-        qcols = layout.query_column_matrix
-        num_words = kernels.words_for(total_rows)
-        qwords = kernels.pack_bit_columns(region1[:, qcols.ravel()]).reshape(
-            num_words, layout.num_groups, layout.queries_per_group
-        )
         seg_max = np.full(
             (num_queries, self.etm.num_segments), -1, dtype=np.int64
         )
+
+        # Pack the requested slots' query replicas (each group
+        # broadcasts its own -- possibly fault-corrupted -- replica, so
+        # replicas are packed per group): (words, groups, queries).
+        region1 = self.array.peek_rows(base, base + total_rows)
+        qcols = layout.query_column_matrix[:, slot_arr]
+        num_words = kernels.words_for(total_rows)
+        qwords = kernels.pack_bit_columns(region1[:, qcols.ravel()]).reshape(
+            num_words, layout.num_groups, num_queries
+        )
+        bounds = image.group_bounds.tolist()
         if num_words == 1:
             # Single-word fast path (every k <= 32 packs into one
             # uint64 word): kernels.segment_divergence reduces the raw
             # XOR matrix per segment without materializing the full
-            # per-column divergence matrix; argmin locates the first
-            # all-equal column (XOR == 0) for hit queries.
-            zero = np.uint64(0)
-            group_of_col = layout.column_group_index[:num_refs]
-            # (query, column) orientation keeps the argmin/reduceat
-            # scans contiguous.
-            xor = qwords[0].T[:, group_of_col] ^ ref_words[0][None, :]
-            if not (
-                num_queries == layout.queries_per_group
-                and np.array_equal(slot_arr, np.arange(num_queries))
-            ):
-                xor = xor[slot_arr]
-            first_hit = np.argmin(xor, axis=1)
-            seg_div = kernels.segment_divergence(xor, total_rows, seg_starts)
-            seg_max[:, seg_ids] = seg_div
+            # per-column divergence matrix.  Each group's reference
+            # columns are contiguous and compare against that group's
+            # replica; the (query, column) orientation keeps the scans
+            # contiguous.
+            xor = np.empty((num_queries, num_refs), dtype=np.uint64)
+            for g in range(layout.num_groups):
+                lo, hi = bounds[g], bounds[g + 1]
+                np.bitwise_xor(
+                    qwords[0, g][:, None],
+                    image.ref_words[0, lo:hi],
+                    out=xor[:, lo:hi],
+                )
+            seg_div = kernels.segment_divergence(xor, total_rows, image.seg_starts)
+            seg_max[:, image.seg_ids] = seg_div
             last_div = seg_div.max(axis=1)
-            # Tail bits past total_rows are zero on both sides, so a
-            # nonzero XOR always diverges before total_rows: max
-            # divergence reaches total_rows iff some column matched.
-            any_hit = last_div == total_rows
-            last_hits = xor[num_queries - 1] == zero
         else:
             div = np.empty((num_queries, num_refs), dtype=np.int64)
             for g in range(layout.num_groups):
-                lo, hi = int(group_bounds[g]), int(group_bounds[g + 1])
+                lo, hi = bounds[g], bounds[g + 1]
                 if lo == hi:
                     continue
                 div[:, lo:hi] = kernels.first_divergence(
-                    ref_words[:, lo:hi],
-                    qwords[:, g, slot_arr],
-                    total_rows,
+                    image.ref_words[:, lo:hi], qwords[:, g], total_rows
                 )
-            hit_matrix = div == total_rows
-            any_hit = hit_matrix.any(axis=1)
-            first_hit = hit_matrix.argmax(axis=1)
             last_div = div.max(axis=1)
-            seg_max[:, seg_ids] = np.maximum.reduceat(div, seg_starts, axis=1)
-            last_hits = hit_matrix[num_queries - 1]
+            seg_max[:, image.seg_ids] = np.maximum.reduceat(
+                div, image.seg_starts, axis=1
+            )
+        # Tail bits past total_rows are zero on both sides, so a
+        # divergence reaches total_rows only on an exact match: a query
+        # hits iff its maximum divergence does.  Only hit queries need
+        # their matching columns; the first is the one the Column
+        # Finder reports.
+        any_hit = last_div == total_rows
+        hit_pos = np.flatnonzero(any_hit)
+        if num_words == 1:
+            matches = xor[hit_pos] == np.uint64(0)
+        else:
+            matches = div[hit_pos] == total_rows
+        ref_slot = matches.argmax(axis=1)
 
-        # Batch-wide outcome synthesis: the scalar path's ETM and SR
-        # closed forms, applied to all queries at once.
+        # Batch-wide outcome synthesis: the scalar path's ETM closed
+        # forms, applied to all queries at once.  A hit activates every
+        # pattern row plus one Region-2 and one Region-3 row.
         if self.etm_enabled:
             early = ~any_hit & (last_div <= total_rows - 2)
         else:
             early = np.zeros(num_queries, dtype=bool)
-        compares = np.where(
-            any_hit | ~early, total_rows, last_div + 1
+        rows_act = np.where(
+            any_hit, total_rows + 2, np.where(early, last_div + 2, total_rows)
         )
-        rows_act = np.where(early, last_div + 2, total_rows)
         self.array.charge_untimed_accesses(int(rows_act.sum()))
 
-        # SR drain after the final row (hits consult it): SR[i] is live
-        # iff i >= steps or max_{g<=i}(seg_max[g] - g) >= steps - i —
-        # the same recurrence _sr_after unrolls, vectorized over queries.
-        seg_idx = np.arange(self.etm.num_segments, dtype=np.int64)
-        prefix = np.maximum.accumulate(seg_max - seg_idx[None, :], axis=1)
-        live = (prefix >= total_rows - seg_idx[None, :]) | (
-            seg_idx[None, :] >= total_rows
+        # Hits: SR drain after the final row, and the Region-2/3 fetch
+        # (offset, then payload at that offset) from the decoded cells.
+        live = _sr_chain(seg_max[hit_pos], total_rows)
+        flush = np.zeros(num_queries, dtype=np.int64)
+        flush[hit_pos] = np.where(
+            live.any(axis=1), self.etm.num_segments - live.argmax(axis=1), 0
         )
-        flush_all = np.where(
-            live.any(axis=1),
-            self.etm.num_segments - live.argmax(axis=1),
-            0,
-        )
-
-        # Region-2/3 fetches for every hit, batch-wide: peek the stored
-        # cells (activation copies them to the row buffer unchanged) and
-        # charge the two ACT/PRE pairs analytically.
-        hit_pos = np.flatnonzero(any_hit)
         payloads = np.zeros(num_queries, dtype=np.int64)
-        columns = np.zeros(num_queries, dtype=np.int64)
-        if hit_pos.size:
-            cols = enable_cols[first_hit[hit_pos]].astype(np.int64)
-            columns[hit_pos] = cols
-            group = cols // layout.group_width
-            local = cols - group * layout.group_width
-            qstart = layout.query_col_offset
-            local = np.where(
-                local > qstart, local - layout.queries_per_group, local
-            )
-            ref_slot = group * layout.refs_per_group + local
-            full = self.array.peek_rows(0, self.array.rows)
-            orow_in, oentry = np.divmod(ref_slot, layout.offsets_per_row)
-            obits = full[
-                (base + total_rows + orow_in)[:, None],
-                (oentry * OFFSET_BITS)[:, None] + np.arange(OFFSET_BITS),
-            ]
-            # The payload decoder wraps (fault-corrupted Region-2 words
-            # must still address some Region-3 slot).
-            offsets = _bit_rows_to_ints(obits) % layout.refs_per_layer
-            prow_in, pentry = np.divmod(offsets, layout.payloads_per_row)
-            pbits = full[
-                (base + total_rows + layout.offset_rows + prow_in)[:, None],
-                (pentry * PAYLOAD_BITS)[:, None] + np.arange(PAYLOAD_BITS),
-            ]
-            payloads[hit_pos] = _bit_rows_to_ints(pbits)
-            self.array.charge_untimed_accesses(2 * hit_pos.size)
+        payloads[hit_pos] = image.payloads[image.offsets[ref_slot]]
+        columns = np.full(num_queries, -1, dtype=np.int64)
+        columns[hit_pos] = enable_cols[ref_slot]
 
-        segment_size = self.etm.segment_size
-        outcomes: List[MatchOutcome] = []
-        for j, batch_slot in enumerate(slots):
-            query = self._batch[batch_slot]
-            if any_hit[j]:
-                column = int(columns[j])
-                segment = column // segment_size
-                # Closed-form ColumnFinder run: the shifter stops at the
-                # first live latch (strict=False), which is the lowest
-                # hit column since enable_cols ascend.
-                cf = ColumnFindResult(
-                    column=column,
-                    segment=segment,
-                    bsr_shift_cycles=segment + 1,
-                    copy_cycles=1,
-                    rs_shift_cycles=column - segment * segment_size + 1,
-                )
-                outcomes.append(
-                    MatchOutcome(
-                        query=query,
-                        hit=True,
-                        payload=int(payloads[j]),
-                        column=column,
-                        layer=layer,
-                        rows_activated=total_rows + 2,
-                        etm_flush_cycles=int(flush_all[j]),
-                        cf=cf,
-                        etm_terminated_early=False,
-                    )
-                )
-            else:
-                outcomes.append(
-                    MatchOutcome(
-                        query=query,
-                        hit=False,
-                        payload=None,
-                        column=None,
-                        layer=layer,
-                        rows_activated=int(rows_act[j]),
-                        etm_flush_cycles=0,
-                        cf=None,
-                        etm_terminated_early=bool(early[j]),
-                    )
-                )
         # Matcher/ETM state after the batch: a per-slot replay's final
         # load_state wins, so only the last slot's state is installed.
-        last = num_queries - 1
-        latches = np.zeros(layout.row_bits, dtype=np.uint8)
-        if any_hit[last]:
-            latches[enable_cols[last_hits]] = 1
-        self._sync_pipeline_state(seg_max[last], int(compares[last]), latches)
-        return outcomes
-
-    def _sr_after(self, seg_max: np.ndarray, steps: int) -> np.ndarray:
-        """SR chain contents after ``steps`` pipeline steps (closed form).
-
-        Unrolling ``SR[i](t) = seg_or[i](t) | SR[i-1](t-1)`` with
-        ``SR[*](0) = 1`` and ``seg_or[g](t) = (seg_max[g] >= t)`` gives
-        ``SR[i](t) = 1`` iff ``i >= t`` (the preset 1 has not drained) or
-        some ``d <= i`` had segment ``i-d`` still live at step ``t-d``.
-        """
-        num_segments = seg_max.size
-        sr = np.zeros(num_segments, dtype=np.uint8)
-        for i in range(num_segments):
-            if i >= steps:
-                sr[i] = 1
-            else:
-                lags = np.arange(i + 1)
-                sr[i] = 1 if np.any(seg_max[i - lags] >= steps - lags) else 0
-        return sr
+        if num_queries:
+            latches = np.zeros(layout.row_bits, dtype=np.uint8)
+            if any_hit[-1]:
+                latches[enable_cols[matches[-1]]] = 1
+            steps = total_rows if not early[-1] else int(last_div[-1]) + 1
+            self._sync_pipeline_state(seg_max[-1], steps, latches)
+        return MatchColumns(
+            layer=layer,
+            segment_size=self.etm.segment_size,
+            query=np.array([self._batch[s] for s in slot_arr.tolist()], dtype=object),
+            hit=any_hit,
+            payload=payloads,
+            column=columns,
+            rows_activated=rows_act,
+            etm_flush_cycles=flush,
+            etm_terminated_early=early,
+        )
 
     def _sync_pipeline_state(self, seg_max: np.ndarray, steps: int,
                              latches: np.ndarray) -> None:
         """Leave matcher/ETM state exactly as a scalar replay would."""
         self.matchers.load_state(latches, steps)
         segment_or = (seg_max >= steps).astype(np.uint8)
-        self.etm.load_state(segment_or, self._sr_after(seg_max, steps), steps)
+        self.etm.load_state(segment_or, _sr_chain(seg_max, steps), steps)

@@ -328,17 +328,31 @@ class SubarrayLayout:
         Shorter batches leave the remaining query columns zero (those
         slots are disabled at match time).
         """
+        matrix = np.zeros((self.kmer_rows, self.row_bits), dtype=np.uint8)
+        matrix[:, self.query_column_matrix.ravel()] = self.query_block(queries)
+        return matrix
+
+    def query_block(self, queries: Sequence[int]) -> np.ndarray:
+        """The query columns alone: ``(2k, num_groups x queries_per_group)``.
+
+        Column ``g * queries_per_group + s`` is batch slot ``s`` of
+        group ``g``'s replica (the columns of :attr:`query_column_matrix`,
+        raveled); slots past the batch are zero.
+        """
         if len(queries) > self.queries_per_group:
             raise LayoutError(
                 f"batch of {len(queries)} exceeds {self.queries_per_group} "
                 f"queries per group"
             )
-        matrix = np.zeros((self.kmer_rows, self.row_bits), dtype=np.uint8)
+        block = np.zeros(
+            (self.kmer_rows, self.num_groups, self.queries_per_group),
+            dtype=np.uint8,
+        )
         if len(queries):
-            bits = transpose_kmers(queries, self.k)
-            cols = self.query_column_matrix[:, : len(queries)]
-            matrix[:, cols.ravel()] = np.tile(bits, (1, self.num_groups))
-        return matrix
+            block[:, :, : len(queries)] = transpose_kmers(queries, self.k)[
+                :, None, :
+            ]
+        return block.reshape(self.kmer_rows, -1)
 
     # -- regions 2 and 3 -----------------------------------------------------------
 

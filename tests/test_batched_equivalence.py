@@ -104,7 +104,7 @@ def run_both(layout, records, queries, etm_enabled):
     scalar.load_query_batch(queries, layer)
     batched.load_query_batch(queries, layer)
     scalar_outcomes = [scalar.match_slot(slot) for slot in range(len(queries))]
-    batched_outcomes = batched.match_all()
+    batched_outcomes = batched.match_all().outcomes()
     return scalar, batched, scalar_outcomes, batched_outcomes
 
 
@@ -190,7 +190,7 @@ def test_match_all_slot_subset(small_layout):
     reference.load_query_batch(queries, 0)
     subset.load_query_batch(queries, 0)
     want = reference.match_slot(len(queries) - 1)
-    got = subset.match_all(slots=[len(queries) - 1])
+    got = subset.match_all(slots=[len(queries) - 1]).outcomes()
     assert got == [want]
 
 
@@ -214,3 +214,130 @@ def test_device_level_batched_equals_scalar(small_layout, small_dataset):
     assert fast.stats == slow.stats
     for sid in fast.subarrays:
         assert fast.subarrays[sid].array.stats == slow.subarrays[sid].array.stats
+
+
+def _subarray_state(sim):
+    """Everything a device call leaves behind in one subarray."""
+    return (
+        sim.array.stats,
+        sim.array.peek_rows(0, sim.array.rows).tobytes(),
+        sim.matchers.latches.tobytes(),
+        sim.matchers.compare_count,
+        sim.etm.cycles,
+        sim.etm.bsr.tobytes(),
+        sim.etm._segment_or.tobytes(),
+        sim.etm._sr.tobytes(),
+        sim.batch_loads,
+        sim.write_commands,
+    )
+
+
+def _reference_query(device, kmers):
+    """``SieveDevice.query`` spelled out with the scalar path: route
+    through the host index, then the subarray's layer table; group per
+    (subarray, layer) in first-appearance order; batches of up to
+    ``queries_per_group``; one ``match_slot`` and one histogram count
+    per k-mer, in order."""
+    from repro.api import BackendResult
+
+    stats = device.stats
+    responses = [None] * len(kmers)
+    groups = {}
+    for pos, kmer in enumerate(kmers):
+        sid = device.index.route(kmer)
+        if sid is None:
+            stats.queries += 1
+            stats.index_filtered += 1
+            stats.rows_histogram[0] += 1
+            responses[pos] = BackendResult(kmer, False, None, None, 0, 0)
+        else:
+            layer = device.subarrays[sid].route_layer(kmer)
+            groups.setdefault((sid, layer), []).append(pos)
+    size = device.layout.queries_per_group
+    for (sid, layer), positions in groups.items():
+        sim = device.subarrays[sid]
+        for start in range(0, len(positions), size):
+            batch = positions[start : start + size]
+            stats.write_commands += sim.load_query_batch(
+                [kmers[pos] for pos in batch], layer
+            )
+            stats.batches += 1
+            for slot, pos in enumerate(batch):
+                out = sim.match_slot(slot)
+                stats.queries += 1
+                stats.hits += out.hit
+                stats.row_activations += out.rows_activated
+                stats.rows_histogram[out.rows_activated] += 1
+                responses[pos] = BackendResult(
+                    out.query, out.hit, out.payload, sid,
+                    out.rows_activated, out.etm_flush_cycles,
+                )
+    return responses
+
+
+def test_device_batched_equals_scalar_under_faults():
+    """Device-level identity under load-time bit flips, over several
+    calls on a 64-query-slot layout: one destination gets more than 64
+    k-mers, one call spans two layers of one subarray (the later layer
+    first), one mixes reads with index-filtered k-mers.  ``query``
+    batched, ``query`` scalar and a spelled-out reference dispatch
+    must agree on the responses, DeviceStats (histogram order
+    included), every subarray's counters, pipeline state and stored
+    cells, and the injector's stats and fault schedule."""
+    from repro.faults import FaultInjector, FaultModel, fault_injection
+    from repro.genomics import build_dataset
+    from repro.sieve import SieveDevice
+
+    k = 9
+    dataset = build_dataset(
+        k=k, num_species=4, genome_length=1200, num_reads=12,
+        read_length=60, error_rate=0.02, seed=31,
+    )
+    layout = SubarrayLayout(k=k, row_bits=1152, rows_per_subarray=256, layers=3)
+    records = dataset.database.sorted_records()
+    per_layer = layout.refs_per_layer
+    assert len(records) > layout.refs_per_subarray  # two subarrays
+    assert not dataset.database.canonical
+    rng = np.random.default_rng(5)
+    layer0 = [kmer for kmer, _ in records[:per_layer]]
+    layer1 = [kmer for kmer, _ in records[per_layer : 2 * per_layer]]
+    space = 4**k
+    calls = [
+        # > 64 k-mers to subarray 0, layer 0 (two batches), with
+        # in-range misses mixed in.
+        [layer0[i] for i in rng.integers(0, per_layer, 90)]
+        + [layer0[i] + 1 for i in rng.integers(0, per_layer, 20)],
+        # Two layers of subarray 0, interleaved, layer 1 first.
+        [kmer for pair in zip(layer1[::40], layer0[::40]) for kmer in pair],
+        # Reads plus k-mers the host index filters.
+        [kmer for read in dataset.reads[:4] for kmer in read.kmers(k)]
+        + [space - 1, 0],
+    ]
+    assert records[0][0] > 0 and records[-1][0] < space - 1
+
+    def run(query):
+        injector = FaultInjector(FaultModel(bit_flip_rate=2e-3, seed=77))
+        with fault_injection(injector):
+            device = SieveDevice.from_database(dataset.database, layout=layout)
+            responses = [query(device, call) for call in calls]
+        state = {
+            sid: _subarray_state(sim) for sid, sim in device.subarrays.items()
+        }
+        return (
+            responses,
+            device.stats,
+            list(device.stats.rows_histogram.items()),
+            state,
+            injector.stats,
+            injector.schedule_digest(),
+        )
+
+    fast = run(lambda device, kmers: device.query(kmers, batched=True))
+    slow = run(lambda device, kmers: device.query(kmers, batched=False))
+    reference = run(_reference_query)
+    stats, injector_stats = reference[1], reference[4]
+    assert injector_stats.bits_flipped > 0
+    assert stats.index_filtered >= 2
+    assert 0 < stats.hits < stats.queries
+    assert fast == reference
+    assert slow == reference

@@ -281,7 +281,7 @@ class TestEngineBitIdentity:
         scalar.load_query_batch(queries, layer)
         fast.load_query_batch(queries, layer)
         s_out = [scalar.match_slot(s) for s in range(len(queries))]
-        f_out = fast.match_all()
+        f_out = fast.match_all().outcomes()
         assert_equivalent(scalar, fast, s_out, f_out)
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_K_RANGES))
@@ -307,6 +307,6 @@ class TestEngineBitIdentity:
         scalar, s_out, s_inj = build(
             lambda sim: [sim.match_slot(s) for s in range(len(queries))]
         )
-        fast, f_out, f_inj = build(lambda sim: sim.match_all())
+        fast, f_out, f_inj = build(lambda sim: sim.match_all().outcomes())
         assert f_inj.stats.bits_flipped == s_inj.stats.bits_flipped
         assert_equivalent(scalar, fast, s_out, f_out)

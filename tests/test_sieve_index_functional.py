@@ -1,8 +1,11 @@
 """Tests for the subarray index and the bit-accurate functional simulator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram import Subarray
+from repro.faults import FaultInjector, FaultModel, StuckCell, fault_injection
 from repro.sieve import (
     INDEX_ENTRY_BYTES,
     FunctionalError,
@@ -12,7 +15,9 @@ from repro.sieve import (
     SubarrayIndex,
     SubarrayLayout,
 )
+from repro.sieve.functional import _int_to_bits
 from repro.sieve.index import IndexError_
+from repro.sieve.layout import OFFSET_BITS, PAYLOAD_BITS
 
 
 class TestSubarrayIndex:
@@ -242,3 +247,158 @@ class TestFunctionalSim:
             outcome = sim.match_query(q)
             assert outcome.hit == (q in table)
             assert outcome.payload == table.get(q)
+
+
+#: Weak cells plus a stuck cell: both fault kinds the load path applies.
+BLOCK_FAULTS = FaultModel(
+    bit_flip_rate=5e-2,
+    stuck_cells=(StuckCell(unit="unit0", row=1, col=3, value=1),),
+    seed=4242,
+)
+
+
+def _loaded(write, faulty):
+    """Run ``write`` (which builds and returns an object holding a
+    ``Subarray``) under a fresh injector of ``BLOCK_FAULTS``, or none.
+
+    Returns the object, the stored cells and the injector's
+    (stats, schedule digest) -- or None without an injector.
+    """
+    if not faulty:
+        obj = write()
+        array = getattr(obj, "array", obj)
+        return obj, array.peek_rows(0, array.rows).copy(), None
+    injector = FaultInjector(BLOCK_FAULTS)
+    with fault_injection(injector):
+        obj = write()
+    array = getattr(obj, "array", obj)
+    log = (injector.stats.as_dict(), injector.schedule_digest())
+    return obj, array.peek_rows(0, array.rows).copy(), log
+
+
+class TestBlockWrite:
+    """``Subarray.load_block`` against a per-slice ``load_bits`` loop:
+    same cells and, under a fault injector, the same ``stats.loads``,
+    ``bits_flipped`` and fault schedule."""
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_block_equals_load_bits_loop(self, faulty):
+        rng = np.random.default_rng(7)
+        starts = [2, 15, 30]
+        width = 6
+        # Values 0..3: both paths store bits modulo 2.
+        bits = rng.integers(0, 4, size=(4, len(starts) * width)).astype(np.uint8)
+
+        def block():
+            sub = Subarray(8, 40)
+            sub.load_block(1, np.array(starts), width, bits)
+            return sub
+
+        def loop():
+            sub = Subarray(8, 40)
+            for i in range(bits.shape[0]):
+                for j, start in enumerate(starts):
+                    sub.load_bits(
+                        1 + i, start, bits[i, j * width : (j + 1) * width]
+                    )
+            return sub
+
+        _, got_cells, got_log = _loaded(block, faulty)
+        _, want_cells, want_log = _loaded(loop, faulty)
+        assert np.array_equal(got_cells, want_cells)
+        assert got_log == want_log
+        if faulty:
+            assert got_log[0]["loads"] == 4 * len(starts)
+            assert got_log[0]["bits_flipped"] > 0
+
+    def test_block_bounds(self):
+        sub = Subarray(4, 16)
+        with pytest.raises(IndexError):
+            sub.load_block(3, np.array([0]), 4, np.ones((2, 4), dtype=np.uint8))
+        with pytest.raises(IndexError):
+            sub.load_block(0, np.array([14]), 4, np.ones((1, 4), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            sub.load_block(0, np.array([0, 8]), 4, np.ones((1, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_reference_install_equals_per_slot_loop(
+        self, small_layout, sorted_records, faulty
+    ):
+        """Regions 1-3 as the simulator installs them (one block per
+        region) versus one ``load_row`` per Region-1 row and one
+        ``load_bits`` per Region-2/3 slot, in the same order."""
+        layout = small_layout
+        # A partial last layer: its Region-2/3 rows are partly filled.
+        records = sorted_records[: layout.refs_per_layer + 5]
+
+        def loop():
+            sub = Subarray(layout.rows_per_subarray, layout.row_bits)
+            per_layer = layout.refs_per_layer
+            for layer in range(-(-len(records) // per_layer)):
+                chunk = records[layer * per_layer : (layer + 1) * per_layer]
+                matrix = layout.ref_bit_matrix([k for k, _ in chunk])
+                base = layout.layer_base_row(layer)
+                for bit in range(layout.kmer_rows):
+                    sub.load_row(base + bit, matrix[bit])
+                for slot in range(len(chunk)):
+                    row, col = layout.offset_location(layer, slot)
+                    sub.load_bits(row, col, _int_to_bits(slot, OFFSET_BITS))
+                for slot, (_, payload) in enumerate(chunk):
+                    row, col = layout.payload_location(layer, slot)
+                    sub.load_bits(row, col, _int_to_bits(payload, PAYLOAD_BITS))
+            return sub
+
+        _, got_cells, got_log = _loaded(
+            lambda: SieveSubarraySim(layout, records), faulty
+        )
+        _, want_cells, want_log = _loaded(loop, faulty)
+        assert np.array_equal(got_cells, want_cells)
+        assert got_log == want_log
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_query_batches_equal_per_group_loop(
+        self, small_layout, sorted_records, faulty
+    ):
+        """A full batch, then shorter ones (stale slot columns must be
+        re-zeroed), on both layers: ``load_query_batch`` versus one
+        ``load_bits`` per (row, group) of the full-width image."""
+        layout = small_layout
+        records = sorted_records[: layout.refs_per_subarray]
+        kmers = [k for k, _ in records]
+        batches = [
+            (kmers[: layout.queries_per_group], 0),
+            (kmers[-2:], 1),
+            (kmers[5:6], 0),
+        ]
+
+        def block():
+            sim = SieveSubarraySim(layout, records)
+            for queries, layer in batches:
+                sim.load_query_batch(queries, layer)
+            return sim
+
+        def loop():
+            sim = SieveSubarraySim(layout, records)
+            for queries, layer in batches:
+                matrix = layout.query_bit_matrix(queries)
+                base = layout.layer_base_row(layer)
+                for bit in range(layout.kmer_rows):
+                    for group in range(layout.num_groups):
+                        cols = layout.query_columns(group)
+                        sim.array.load_bits(
+                            base + bit,
+                            cols.start,
+                            matrix[bit, cols.start : cols.stop],
+                        )
+            return sim
+
+        sim, got_cells, got_log = _loaded(block, faulty)
+        _, want_cells, want_log = _loaded(loop, faulty)
+        assert np.array_equal(got_cells, want_cells)
+        assert got_log == want_log
+        if not faulty:
+            # Layer 0's last batch held one query: slots 1.. are zero.
+            base = layout.layer_base_row(0)
+            stale = layout.query_column_matrix[:, 1:].ravel()
+            region1 = got_cells[base : base + layout.kmer_rows]
+            assert not region1[:, stale].any()
